@@ -273,7 +273,7 @@ fn spawn_worker(
 pub fn run(cfg: &FleetConfig) -> FleetReport {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(
-        cfg.exe.as_os_str().len() > 0,
+        !cfg.exe.as_os_str().is_empty(),
         "FleetConfig::exe must point at the snids binary"
     );
     std::fs::create_dir_all(&cfg.dir).expect("create fleet scratch dir");

@@ -27,6 +27,7 @@
 
 pub mod alert;
 pub mod config;
+mod front;
 pub mod shard;
 pub mod stats;
 
@@ -36,15 +37,15 @@ pub use shard::ShardedNids;
 pub use snids_semantic::DataflowMode;
 pub use stats::{DropCounters, DropReason, PipelineStats};
 
+use front::{FrontHalf, FrontLedger};
 use snids_classify::{DarkSpaceMonitor, HoneypotRegistry, Subnet, TrafficClassifier};
 use snids_extract::BinaryExtractor;
 use snids_flow::{
-    DefragDrop, DefragOutcome, Defragmenter, Flow, FlowKey, FlowTable, MemoryBudget, PressureLevel,
-    ShedCause, ShedFlow,
+    DefragDrop, DefragOutcome, Defragmenter, Flow, FlowKey, MemoryBudget, PressureLevel, ShedCause,
+    ShedFlow,
 };
 use snids_obs::{Event, EventKind, Obs, Stage};
 use snids_packet::{Ipv4Header, Packet, TcpHeader, ETHERNET_HEADER_LEN};
-use snids_prefilter::{Decision, Lane, Prefilter, PrefilterConfig};
 use snids_semantic::{Analyzer, TemplateMatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -61,7 +62,12 @@ pub struct Nids {
     classifier: TrafficClassifier,
     extractor: BinaryExtractor,
     analyzer: Analyzer,
-    flows: FlowTable,
+    /// Pre-filter gate, flow table and reassembly (idle in the sharded
+    /// engine, whose shards each run their own).
+    front: FrontHalf,
+    /// Latest ledger of every front half running outside this pipeline
+    /// (the shards of a [`ShardedNids`]); empty for the sequential engine.
+    shard_ledgers: Vec<FrontLedger>,
     defrag: Defragmenter,
     stats: PipelineStats,
     parallel: bool,
@@ -69,10 +75,6 @@ pub struct Nids {
     /// shared `snids_exec::global()` pool is used.
     exec: Option<snids_exec::ThreadPool>,
     chaos_panic_marker: Option<Vec<u8>>,
-    /// The three-lane pre-filter fast path between classification and the
-    /// flow table (`None` when `NidsConfig::prefilter` is off: every
-    /// suspicious packet reaches deep analysis, the seed behavior).
-    prefilter: Option<Prefilter>,
     verify_checksums: bool,
     max_frame_bytes: usize,
     /// When the dataflow second pass (slice matching + alternative stream
@@ -87,9 +89,6 @@ pub struct Nids {
     /// The resource governor's shared byte accounting: the flow table and
     /// the defragmenter charge their buffered bytes here.
     budget: Arc<MemoryBudget>,
-    /// Mirror of `NidsConfig::analyze_on_evict`: shed victims are routed
-    /// through the analysis path instead of being discarded.
-    analyze_on_evict: bool,
     /// Victims analyzed on the way out (total, and the subset shed by the
     /// byte budget rather than the count cap) — the core's share of the
     /// shed ledger split.
@@ -265,15 +264,22 @@ impl Nids {
             TrafficClassifier::disabled()
         };
         let budget = Arc::new(MemoryBudget::limited(config.memory_budget));
-        let mut flow_config = config.flow_table.clone();
-        // The pipeline owns the analyze-on-evict decision: the table hands
-        // victims back exactly when the governor will analyze them.
-        flow_config.hand_off_shed = config.analyze_on_evict;
+        let obs = if config.observability {
+            Obs::new(config.flight_recorder_capacity)
+        } else {
+            Obs::disabled()
+        };
         Nids {
             classifier,
             extractor: BinaryExtractor::new(config.extractor.clone()),
             analyzer: Analyzer::new(config.templates.clone()),
-            flows: FlowTable::with_budget(flow_config, Arc::clone(&budget)),
+            front: FrontHalf::new(
+                &config,
+                config.flow_table.max_flows,
+                Arc::clone(&budget),
+                obs.clone(),
+            ),
+            shard_ledgers: Vec::new(),
             defrag: Defragmenter::with_budget(
                 snids_flow::DefragConfig::default(),
                 Arc::clone(&budget),
@@ -282,23 +288,12 @@ impl Nids {
             parallel: config.parallel,
             exec: (config.threads > 0).then(|| snids_exec::ThreadPool::new(config.threads)),
             chaos_panic_marker: config.chaos_analysis_panic_marker.clone(),
-            prefilter: config.prefilter.then(|| {
-                Prefilter::new(PrefilterConfig::deployment_rules(
-                    &config.honeypots,
-                    &config.dark_nets,
-                ))
-            }),
             verify_checksums: config.verify_checksums,
             max_frame_bytes: config.max_frame_bytes.max(1),
             dataflow: config.dataflow,
-            obs: if config.observability {
-                Obs::new(config.flight_recorder_capacity)
-            } else {
-                Obs::disabled()
-            },
+            obs,
             flight_dumps: Vec::new(),
             budget,
-            analyze_on_evict: config.analyze_on_evict,
             shed_analyzed: 0,
             shed_analyzed_budget: 0,
             pending_alerts: Vec::new(),
@@ -331,83 +326,68 @@ impl Nids {
         self.pool().stats()
     }
 
-    /// Mirror ledger totals and pool self-profiling into the obs registry
-    /// so a snapshot is self-contained. Cheap enough to call before every
-    /// exposition; a no-op when observability is off.
+    /// Mirror the settled ledger and pool self-profiling into the obs
+    /// registry so a snapshot is self-contained. Cheap enough to call
+    /// before every exposition; a no-op when observability is off.
     fn publish_gauges(&self) {
         if !self.obs.enabled() {
             return;
         }
+        let fronts = self.front_ledgers();
+        let s = self.settled(&fronts);
+        let obs = &self.obs;
         for reason in DropReason::ALL {
-            self.obs.set_named(
-                &format!("drop.{}", reason.name()),
-                self.stats.drops.get(reason),
-            );
+            obs.set_named(&format!("drop.{}", reason.name()), s.drops.get(reason));
         }
-        self.obs
-            .set_named("snids_packets_total", self.stats.packets);
-        self.obs
-            .set_named("snids_processed_total", self.stats.processed);
-        self.obs
-            .set_named("snids_flows_analyzed_total", self.stats.flows_analyzed);
-        self.obs.set_named("snids_alerts_total", self.stats.alerts);
-        self.obs
-            .set_named("snids_prefilter_passed_total", self.stats.prefilter_passed);
-        self.obs.set_named(
-            "snids_prefilter_escalated_total",
-            self.stats.prefilter_escalated,
-        );
-        self.obs.set_named(
-            "snids_prefilter_rejected_total",
-            self.stats.prefilter_rejected,
-        );
-        for (lane, rule, n) in &self.stats.lane_hits {
-            self.obs.set_named(
+        obs.set_named("snids_packets_total", s.packets);
+        obs.set_named("snids_processed_total", s.processed);
+        obs.set_named("snids_flows_analyzed_total", s.flows_analyzed);
+        obs.set_named("snids_alerts_total", s.alerts);
+        obs.set_named("snids_prefilter_passed_total", s.prefilter_passed);
+        obs.set_named("snids_prefilter_escalated_total", s.prefilter_escalated);
+        obs.set_named("snids_prefilter_rejected_total", s.prefilter_rejected);
+        for (lane, rule, n) in &s.lane_hits {
+            obs.set_named(
                 &format!("snids_prefilter_lane_hits_total{{lane=\"{lane}\",rule=\"{rule}\"}}"),
                 *n,
             );
         }
-        self.obs
-            .set_named("snids_budget_limit_bytes", self.budget.limit());
-        self.obs
-            .set_named("snids_budget_tracked_bytes", self.budget.tracked());
-        self.obs
-            .set_named("snids_budget_peak_bytes", self.budget.peak());
-        self.obs
-            .set_named("snids_budget_pressure_level", self.budget.level().code());
-        self.obs
-            .set_named("snids_flows_protected", self.flows.protected_len() as u64);
-        self.obs
-            .set_named("snids_flows_degraded_total", self.flows.degraded_flows());
-        self.obs
-            .set_named("snids_flows_shed_total", self.flows.evicted());
+        obs.set_named("snids_budget_limit_bytes", self.budget.limit());
+        obs.set_named("snids_budget_tracked_bytes", self.budget.tracked());
+        obs.set_named("snids_budget_peak_bytes", self.budget.peak());
+        obs.set_named("snids_budget_pressure_level", self.budget.level().code());
+        obs.set_named(
+            "snids_flows_protected",
+            fronts.iter().map(|f| f.protected_len).sum(),
+        );
+        obs.set_named("snids_flows_degraded_total", s.degraded_flows);
+        obs.set_named(
+            "snids_flows_shed_total",
+            fronts.iter().map(|f| f.evicted).sum(),
+        );
         let pool = self.pool_stats();
-        self.obs
-            .set_named("snids_pool_threads", pool.threads as u64);
-        self.obs
-            .set_named("snids_pool_injected_total", pool.injected);
-        self.obs
-            .set_named("snids_pool_injector_depth", pool.injector_depth as u64);
-        self.obs
-            .set_named("snids_pool_tasks_panicked_total", pool.tasks_panicked);
+        obs.set_named("snids_pool_threads", pool.threads as u64);
+        obs.set_named("snids_pool_injected_total", pool.injected);
+        obs.set_named("snids_pool_injector_depth", pool.injector_depth as u64);
+        obs.set_named("snids_pool_tasks_panicked_total", pool.tasks_panicked);
         for (i, w) in pool.workers.iter().enumerate() {
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_tasks_total{{thread=\"{i}\"}}"),
                 w.tasks,
             );
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_steals_total{{thread=\"{i}\"}}"),
                 w.steals,
             );
-            self.obs.set_named(
+            obs.set_named(
                 &format!("snids_pool_busy_nanos_total{{thread=\"{i}\"}}"),
                 w.busy_nanos,
             );
         }
     }
 
-    /// A deterministic point-in-time metrics snapshot (ledger totals and
-    /// pool stats freshly mirrored in).
+    /// A deterministic point-in-time metrics snapshot (the ledger, settled
+    /// as of this call, and pool stats freshly mirrored in).
     pub fn obs_snapshot(&self) -> snids_obs::Snapshot {
         self.publish_gauges();
         self.obs.snapshot()
@@ -504,64 +484,90 @@ impl Nids {
     }
 
     /// Pipeline statistics so far.
+    ///
+    /// The packet-level counters (capture, checksum, classification) and
+    /// the analysis tail are live. Everything the front half and the
+    /// defragmenter tally (pre-filter, reassembly, flow-table and defrag
+    /// drops, the budget peak) is settled into this ledger at
+    /// [`Nids::poll`], [`Nids::finish`] and [`Nids::absorb_read_stats`],
+    /// never per packet; the snapshot calls publish the same settled
+    /// figures. After any of those points the ledger is authoritative —
+    /// the sharded engine settles at exactly the same points.
     pub fn stats(&self) -> &PipelineStats {
         &self.stats
     }
 
     /// Fold a pcap reader's accounting into the record ledger (call after
-    /// decoding a capture and feeding its packets through the pipeline).
+    /// decoding a capture and feeding its packets through the pipeline),
+    /// and settle the ledger.
     pub fn absorb_read_stats(&mut self, rs: &snids_packet::ReadStats) {
         self.stats.absorb_read_stats(rs);
+        self.sync_drop_counters();
     }
 
-    /// Copy the cumulative per-stage drop tallies into the stats ledgers.
+    /// Every front half's latest ledger: this pipeline's own, then each
+    /// shard's.
+    fn front_ledgers(&self) -> Vec<FrontLedger> {
+        let mut fronts = Vec::with_capacity(1 + self.shard_ledgers.len());
+        fronts.push(self.front.ledger());
+        fronts.extend(self.shard_ledgers.iter().cloned());
+        fronts
+    }
+
+    /// Settle the ledger: recompute every front-half and defrag figure of
+    /// [`Nids::stats`] from the cumulative tallies.
     fn sync_drop_counters(&mut self) {
-        if let Some(pf) = &self.prefilter {
-            // Cumulative like the drop counters: set, don't add.
-            self.stats.lane_hits = pf
-                .rule_hits()
-                .map(|(lane, rule, n)| (lane.to_string(), rule.to_string(), n))
-                .collect();
+        let fronts = self.front_ledgers();
+        self.stats = self.settled(&fronts);
+    }
+
+    /// The ledger with every front-half figure derived from `fronts` (one
+    /// for the sequential engine, one per shard for the sharded one) and
+    /// the defrag drops from the defragmenter's own cumulative tallies.
+    fn settled(&self, fronts: &[FrontLedger]) -> PipelineStats {
+        let mut s = self.stats.clone();
+        let sum = |field: fn(&FrontLedger) -> u64| fronts.iter().map(field).sum::<u64>();
+        s.prefilter_passed = sum(|f| f.prefilter_passed);
+        s.prefilter_escalated = sum(|f| f.prefilter_escalated);
+        s.prefilter_rejected = sum(|f| f.prefilter_rejected);
+        s.prefilter_nanos = sum(|f| f.prefilter_nanos);
+        s.reassembly_nanos = sum(|f| f.reassembly_nanos);
+        s.overlap_conflict_bytes = sum(|f| f.overlap_conflict_bytes);
+        s.degraded_flows = sum(|f| f.degraded_flows);
+        s.lane_hits.clear();
+        for f in fronts {
+            stats::merge_lane_hits(&mut s.lane_hits, &f.lane_hits);
         }
+        let d = &mut s.drops;
+        d.set(DropReason::PrefilterRejected, s.prefilter_rejected);
+        d.set(DropReason::StreamTruncated, sum(|f| f.truncated_flows));
         let ds = self.defrag.stats();
-        self.stats
-            .drops
-            .set(DropReason::DefragCapExceeded, ds.cap_exceeded);
-        self.stats
-            .drops
-            .set(DropReason::DefragOversize, ds.oversize);
-        self.stats.drops.set(DropReason::DefragTimeout, ds.timeout);
-        self.stats.drops.set(DropReason::DefragInvalid, ds.invalid);
-        self.stats
-            .drops
-            .set(DropReason::DefragIncomplete, ds.incomplete);
+        d.set(DropReason::DefragCapExceeded, ds.cap_exceeded);
+        d.set(DropReason::DefragOversize, ds.oversize);
+        d.set(DropReason::DefragTimeout, ds.timeout);
+        d.set(DropReason::DefragInvalid, ds.invalid);
+        d.set(DropReason::DefragIncomplete, ds.incomplete);
         // Shed attribution: victims analyzed on the way out land under
         // `shed_analyzed` (the detection opportunity survived); discarded
         // victims keep the seed's `flow_evicted` name for count-cap
         // evictions and `shed_unanalyzed` for byte-budget sheds.
-        let evicted = self.flows.evicted();
-        let by_budget = self.flows.evicted_by_budget();
+        let evicted = sum(|f| f.evicted);
+        let by_budget = sum(|f| f.evicted_by_budget);
         let analyzed_count_cap = self.shed_analyzed.saturating_sub(self.shed_analyzed_budget);
-        self.stats
-            .drops
-            .set(DropReason::ShedAnalyzed, self.shed_analyzed);
-        self.stats.drops.set(
+        d.set(DropReason::ShedAnalyzed, self.shed_analyzed);
+        d.set(
             DropReason::ShedUnanalyzed,
             by_budget.saturating_sub(self.shed_analyzed_budget),
         );
-        self.stats.drops.set(
+        d.set(
             DropReason::FlowEvicted,
             evicted
                 .saturating_sub(by_budget)
                 .saturating_sub(analyzed_count_cap),
         );
-        self.stats
-            .drops
-            .set(DropReason::StreamTruncated, self.flows.truncated_flows());
-        self.stats.overlap_conflict_bytes = self.flows.overlap_conflict_bytes();
-        self.stats.memory_limit_bytes = self.budget.limit();
-        self.stats.peak_tracked_bytes = self.budget.peak();
-        self.stats.degraded_flows = self.flows.degraded_flows();
+        s.memory_limit_bytes = self.budget.limit();
+        s.peak_tracked_bytes = self.budget.peak();
+        s
     }
 
     /// Record a watermark-transition flight event when the pressure level
@@ -616,7 +622,7 @@ impl Nids {
         }
         let alerts = self.analyze_flows(flows);
         for a in &alerts {
-            self.flows.protect_source(a.src);
+            self.front.flows.protect_source(a.src);
         }
         self.pending_alerts.extend(alerts);
     }
@@ -652,13 +658,17 @@ impl Nids {
     /// ends up in exactly one ledger slot: `processed` (possibly later,
     /// when its datagram completes) or a packet-level drop counter.
     pub fn process_packet(&mut self, packet: &Packet) {
-        match self.ingest_front(packet) {
-            FrontOutcome::Consumed => {}
-            FrontOutcome::Suspicious(whole) => {
-                let suspicious = whole.as_ref().unwrap_or(packet);
-                self.track_suspicious(suspicious);
+        if let FrontOutcome::Suspicious(whole) = self.ingest_front(packet) {
+            if let Some(evicted) = self.front.track(whole.as_ref().unwrap_or(packet)) {
+                self.dump_flight("flow_evicted", evicted.src, evicted.dst, evicted.dst_port);
             }
+            // Victims the table shed under pressure (count cap or critical
+            // watermark) are drained through the analysis path right away
+            // — eviction must not skip detection.
+            let shed = self.front.flows.take_shed();
+            self.handle_shed(shed);
         }
+        self.note_pressure();
     }
 
     /// The capture-ordered front of [`Nids::process_packet`]: ledger
@@ -735,8 +745,6 @@ impl Nids {
                 DefragOutcome::Buffered => {
                     // Buffered fragments are credited when their datagram
                     // resolves.
-                    self.sync_drop_counters();
-                    self.note_pressure();
                     return FrontOutcome::Consumed;
                 }
                 DefragOutcome::Dropped(drop) => {
@@ -756,8 +764,6 @@ impl Nids {
                             Some(reason),
                         );
                     }
-                    self.sync_drop_counters();
-                    self.note_pressure();
                     return FrontOutcome::Consumed;
                 }
             }
@@ -766,7 +772,6 @@ impl Nids {
         }
         let packet = whole.as_ref().unwrap_or(packet);
         self.stats.processed += pieces;
-        self.sync_drop_counters();
         let t0 = Instant::now();
         let verdict = self.classifier.classify(packet);
         let classify_nanos = t0.elapsed().as_nanos() as u64;
@@ -779,135 +784,10 @@ impl Nids {
             );
         }
         if !verdict.is_suspicious() {
-            self.note_pressure();
             return FrontOutcome::Consumed;
         }
         self.stats.suspicious_packets += 1;
         FrontOutcome::Suspicious(whole)
-    }
-
-    /// The per-flow back of [`Nids::process_packet`]: the pre-filter
-    /// gate, flow tracking/reassembly, and shed hand-off. All of this
-    /// state is keyed by the packet's flow, which is what lets the
-    /// sharded front half give every shard a private copy.
-    fn track_suspicious(&mut self, packet: &Packet) {
-        let observing = self.obs.enabled();
-        // Pre-filter fast path: suspicious packets no lane escalates skip
-        // reassembly and the analysis tail entirely. Flows already holding
-        // payload stay open-ended (a mid-analysis flow must see its tail).
-        if self.prefilter.is_some() {
-            let t_pf = Instant::now();
-            let key = FlowKey::of(packet);
-            let flow_buffered = key
-                .as_ref()
-                .and_then(|k| self.flows.get(k))
-                .map(|f| f.payload_bytes > 0)
-                .unwrap_or(false);
-            let decision = match self.prefilter.as_mut() {
-                Some(pf) => pf.decide(packet, flow_buffered),
-                None => Decision::Escalate(Lane::Control),
-            };
-            let prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
-            self.stats.prefilter_nanos += prefilter_nanos;
-            if observing {
-                self.obs.record_stage(
-                    Stage::Prefilter,
-                    prefilter_nanos,
-                    packet.payload().len() as u64,
-                );
-                if let Some(k) = key.as_ref() {
-                    self.obs
-                        .flow_charge(flow_latency_id(k), Stage::Prefilter, prefilter_nanos);
-                }
-            }
-            match decision {
-                Decision::Escalate(Lane::Sticky) => self.stats.prefilter_escalated += 1,
-                Decision::Escalate(_) => self.stats.prefilter_passed += 1,
-                Decision::Reject => {
-                    self.stats.prefilter_rejected += 1;
-                    self.stats.drops.inc(DropReason::PrefilterRejected);
-                    if observing {
-                        self.obs_event(
-                            Stage::Prefilter,
-                            EventKind::Drop,
-                            key.as_ref(),
-                            packet.payload().len() as u64,
-                            Some(DropReason::PrefilterRejected),
-                        );
-                    }
-                    self.note_pressure();
-                    return;
-                }
-            }
-        }
-        let t1 = Instant::now();
-        let outcome = self.flows.process_tracked(packet);
-        let reassembly_nanos = t1.elapsed().as_nanos() as u64;
-        self.stats.reassembly_nanos += reassembly_nanos;
-        if observing {
-            self.obs.record_stage(
-                Stage::Reassembly,
-                reassembly_nanos,
-                outcome.segment_bytes as u64,
-            );
-            if let Some(k) = outcome.key.as_ref() {
-                self.obs
-                    .flow_charge(flow_latency_id(k), Stage::Reassembly, reassembly_nanos);
-            }
-            // The flight recorder tracks suspicious (tracked) traffic:
-            // only those flows can later alert or be dropped with a trail
-            // worth dumping, and skipping the benign majority keeps the
-            // enabled-mode overhead inside its budget.
-            self.obs_event(
-                Stage::Capture,
-                EventKind::Ingest,
-                outcome.key.as_ref(),
-                outcome.segment_bytes as u64,
-                None,
-            );
-            // With analyze-on-evict the victim's events come from
-            // handle_shed under the shed_analyzed reason instead.
-            if let Some(evicted) = outcome.evicted.filter(|_| !self.analyze_on_evict) {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    Some(&evicted),
-                    0,
-                    Some(DropReason::FlowEvicted),
-                );
-                // An unanalyzed eviction is the end of this flow's story:
-                // settle its latency trail under the dropped outcome
-                // before dumping, so the dump carries it.
-                self.obs
-                    .flow_settle(&flow_latency_id(&evicted), snids_obs::FlowOutcome::Dropped);
-                let (src, dst, port) = (evicted.src, evicted.dst, evicted.dst_port);
-                self.dump_flight("flow_evicted", src, dst, port);
-            }
-            if outcome.conflict_bytes > 0 {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Conflict,
-                    outcome.key.as_ref(),
-                    outcome.conflict_bytes,
-                    None,
-                );
-            }
-            if outcome.truncated {
-                self.obs_event(
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    outcome.key.as_ref(),
-                    outcome.segment_bytes as u64,
-                    Some(DropReason::StreamTruncated),
-                );
-            }
-        }
-        // Victims the table shed under pressure (count cap or critical
-        // watermark) are drained through the analysis path right away —
-        // eviction must not skip detection.
-        let shed = self.flows.take_shed();
-        self.handle_shed(shed);
-        self.note_pressure();
     }
 
     /// Stages 3–5 for one application payload: extraction, disassembly,
@@ -947,19 +827,23 @@ impl Nids {
 
     /// Drain and analyze all pending flows, producing alerts.
     ///
-    /// Flow payloads are independent, so this is the rayon-parallel stage.
-    /// Fragments still buffered in the defragmenter will never complete
-    /// now, so they are drained and accounted first — after `finish` the
-    /// packet ledger balances exactly.
+    /// Flow payloads are independent, so this stage runs on the
+    /// `snids-exec` pool (see [`Nids::analysis_threads`]).
     pub fn finish(&mut self) -> Vec<Alert> {
         self.defrag.drain_incomplete();
-        let shed = self.flows.take_shed();
+        let shed = self.front.flows.take_shed();
         self.handle_shed(shed);
-        let flows = self.flows.drain();
-        let mut alerts = std::mem::take(&mut self.pending_alerts);
-        alerts.extend(self.analyze_flows(flows));
-        let alerts = self.finalize_alerts(alerts);
-        self.sync_drop_counters();
+        let flows = self.front.flows.drain();
+        self.finish_flows(flows)
+    }
+
+    /// The end-of-run tail both engines share, over every flow drained
+    /// from their front halves. The caller has already drained the
+    /// fragments still buffered in the defragmenter (they will never
+    /// complete now), so once the ledger settles here the packet ledger
+    /// balances exactly.
+    fn finish_flows(&mut self, flows: Vec<Flow>) -> Vec<Alert> {
+        let alerts = self.conclude(flows);
         self.note_pressure();
         if self.obs.enabled() {
             // Flows that left the pipeline without an analysis verdict
@@ -985,12 +869,18 @@ impl Nids {
     /// memory stays bounded and alerts arrive while the attack is still
     /// in progress, then [`Nids::finish`] once at teardown.
     pub fn poll(&mut self, now: u64) -> Vec<Alert> {
-        let expired = self.flows.expire(now);
-        if expired.is_empty() && self.pending_alerts.is_empty() {
-            return Vec::new();
-        }
+        let expired = self.front.flows.expire(now);
+        self.conclude(expired)
+    }
+
+    /// The barrier tail of every poll and finish, in both engines: analyze
+    /// `flows`, merge in the alerts analyze-on-evict buffered, order and
+    /// dedup them, and settle the ledger.
+    fn conclude(&mut self, flows: Vec<Flow>) -> Vec<Alert> {
         let mut alerts = std::mem::take(&mut self.pending_alerts);
-        alerts.extend(self.analyze_flows(expired));
+        if !flows.is_empty() {
+            alerts.extend(self.analyze_flows(flows));
+        }
         let alerts = self.finalize_alerts(alerts);
         self.sync_drop_counters();
         alerts
@@ -1248,17 +1138,19 @@ impl Nids {
     /// replays. Alerting sources also feed the protection tier here, so a
     /// source the sensor has seen attack is pinned against future sheds.
     fn finalize_alerts(&mut self, mut alerts: Vec<Alert>) -> Vec<Alert> {
-        alerts.sort_by_key(|a| (a.src, a.template, a.start, a.dst, a.dst_port));
-        alerts.dedup_by(|a, b| {
-            a.src == b.src
-                && a.template == b.template
-                && a.start == b.start
-                && a.dst == b.dst
-                && a.dst_port == b.dst_port
+        let identity = |a: &Alert| (a.src, a.template, a.start, a.dst, a.dst_port);
+        // Dedup keeps the first alert of each identity, so the sort breaks
+        // ties on the remaining rendered fields too: which duplicate
+        // survives must not depend on drain order either.
+        alerts.sort_by(|a, b| {
+            (identity(a), a.origin)
+                .cmp(&(identity(b), b.origin))
+                .then_with(|| a.detail.to_json().cmp(&b.detail.to_json()))
         });
+        alerts.dedup_by(|a, b| identity(a) == identity(b));
         self.stats.alerts += alerts.len() as u64;
         for alert in &alerts {
-            self.flows.protect_source(alert.src);
+            self.front.flows.protect_source(alert.src);
         }
         if self.obs.enabled() {
             // An alert is a confirmed detection — record it and dump the
@@ -1958,6 +1850,57 @@ mod tests {
             alerts
         };
         assert_eq!(run(0), run(1 << 30));
+    }
+
+    /// Alerts that share the dedup identity but differ in origin or detail
+    /// (two flows from one source, drained in hash order) dedup to the
+    /// same survivor whatever order they arrive in.
+    #[test]
+    fn alert_dedup_is_independent_of_arrival_order() {
+        use snids_extract::FrameOrigin;
+        let alert = |dst: u8, origin: FrameOrigin, end: usize, reg: &str| {
+            let detail = TemplateMatch {
+                template: "xor-decrypt-loop",
+                severity: snids_semantic::Severity::High,
+                start: 16,
+                end,
+                trace_start: 0,
+                bound_regs: vec![(0, reg.into())],
+                consts: vec![],
+            };
+            Alert {
+                src: Ipv4Addr::new(198, 18, 1, 1),
+                dst: Ipv4Addr::new(10, 0, 0, dst),
+                dst_port: 80,
+                template: detail.template,
+                severity: detail.severity,
+                origin,
+                start: detail.start,
+                detail,
+            }
+        };
+        let raw = vec![
+            alert(1, FrameOrigin::Raw, 40, "ecx"),
+            alert(1, FrameOrigin::Raw, 32, "eax"),
+            alert(1, FrameOrigin::HttpBody, 48, "esi"),
+            alert(2, FrameOrigin::Raw, 40, "edx"),
+            alert(2, FrameOrigin::Raw, 40, "ebx"),
+        ];
+        let render = |alerts: Vec<Alert>| {
+            let mut nids = Nids::with_defaults();
+            nids.finalize_alerts(alerts)
+                .iter()
+                .map(Alert::to_json)
+                .collect::<Vec<_>>()
+        };
+        let forward = render(raw.clone());
+        assert_eq!(forward.len(), 2, "{forward:?}");
+        assert!(
+            forward[0].contains("\"origin\":\"HttpBody\""),
+            "{forward:?}"
+        );
+        assert!(forward[1].contains("\"ebx\""), "{forward:?}");
+        assert_eq!(forward, render(raw.into_iter().rev().collect()));
     }
 
     /// The direct payload path works for standalone binaries.

@@ -1,18 +1,20 @@
 //! The sharded streaming front half.
 //!
-//! [`ShardedNids`] splits the per-flow portion of the pipeline —
-//! pre-filter gate, flow tracking, TCP reassembly, shed hand-off — into
-//! N shards keyed by the canonical flow hash
-//! ([`snids_flow::shard::canonical_flow_hash`]), each running on its own
-//! thread and owning its slice of the flow table and its own pre-filter
-//! sticky state, so the hot path takes no locks. The capture thread
-//! stays a sequential *driver* for the stages that carry cross-flow
-//! per-source state: checksum verification, defragmentation and
-//! classification (honeypot taint and dark-space counts for source S
-//! are updated by packets from every address pair S talks to, so they
-//! cannot live on a single pair-keyed shard without reordering the
-//! scheme's decisions). Classified-suspicious packets are dispatched to
-//! their shard through a bounded mailbox
+//! [`ShardedNids`] splits the per-flow portion of the pipeline — the
+//! `FrontHalf`: pre-filter gate, flow tracking, TCP reassembly, event
+//! emission and the cumulative front ledger — into N shards keyed by the
+//! canonical flow hash
+//! ([`snids_flow::shard::canonical_flow_hash`]). Each shard runs one
+//! `FrontHalf` on its own thread, with its own slice of the flow table
+//! and its own pre-filter sticky state, so the hot path takes no locks.
+//! It is the same type, and the same code, the sequential [`Nids`]
+//! embeds. The capture thread stays a sequential *driver* for the stages
+//! that carry cross-flow per-source state: checksum verification,
+//! defragmentation and classification (honeypot taint and dark-space
+//! counts for source S are updated by packets from every address pair S
+//! talks to, so they cannot live on a single pair-keyed shard without
+//! reordering the scheme's decisions). Classified-suspicious packets are
+//! dispatched to their shard through a bounded mailbox
 //! ([`snids_exec::mailbox`]): a full mailbox blocks the driver —
 //! backpressure, with the stall time recorded under the `dispatch`
 //! stage — instead of queueing unboundedly outside the memory
@@ -20,35 +22,42 @@
 //!
 //! ```text
 //!            driver (capture order)          shards (flow order)
-//!  packets ─▶ checksum ▶ defrag ▶ classify ─┬▶ [mailbox]▶ prefilter ▶ reassembly
-//!                                           ├▶ [mailbox]▶ prefilter ▶ reassembly
-//!                                           └▶ [mailbox]▶ prefilter ▶ reassembly
-//!                 ▲                                │ shed / polled / finished
-//!                 └──────── alerts ◀ analysis ◀────┘ (completed flows)
+//!  packets ─▶ checksum ▶ defrag ▶ classify ─┬▶ [mailbox]▶ FrontHalf
+//!                                           ├▶ [mailbox]▶ FrontHalf
+//!                                           └▶ [mailbox]▶ FrontHalf
+//!                 ▲                                │ shed / evicted /
+//!                 └──────── alerts ◀ analysis ◀────┘ polled / finished
 //! ```
 //!
-//! Every shard charges the **same** [`snids_flow::MemoryBudget`] through its own
-//! `Arc` clone, so the watermark ladder and suspicion-aware shedding
-//! governor stay global: the sum of all shards' buffered bytes obeys one
-//! ceiling, and `peak_tracked_bytes <= limit` holds at every shard
-//! count. Completed flows (shed victims mid-run, expired flows at
+//! Every shard charges the **same** [`snids_flow::MemoryBudget`] through
+//! its own `Arc` clone, so the watermark ladder and suspicion-aware
+//! shedding governor stay global: the sum of all shards' buffered bytes
+//! obeys one ceiling, and `peak_tracked_bytes <= limit` holds at every
+//! shard count. Completed flows (shed victims mid-run, expired flows at
 //! `poll`, the drain at `finish`) are handed back to the driver, which
-//! runs the existing `snids-exec` analysis back half — so the alert
-//! stream goes through the same total order + dedup as the sequential
-//! pipeline and is **byte-identical at any shard count** (pinned by
-//! `tests/shard_equivalence.rs`).
+//! runs the sequential pipeline's own barrier tail — so the alert stream
+//! goes through the same total order + dedup and is **byte-identical at
+//! any shard count** (pinned by `tests/shard_equivalence.rs`). A flow a
+//! shard evicts unanalyzed is reported to the driver, which dumps its
+//! flight trail exactly as the sequential pipeline does.
+//!
+//! **One ledger policy.** Each shard ships its `FrontLedger` snapshot
+//! with every barrier reply; the driver keeps the latest per shard and
+//! settles the one pipeline ledger from them — the same derivation the
+//! sequential pipeline applies to its single front half, at the same
+//! points: `poll`, `finish`, `absorb_read_stats` and the snapshot calls.
 //!
 //! With `shards <= 1` the type is a zero-cost wrapper around the
 //! sequential [`Nids`]: identical code path, identical output.
 
-use crate::stats::{DropReason, PipelineStats};
-use crate::{record_event, Alert, FrontOutcome, Nids, NidsConfig};
+use crate::front::{FrontHalf, FrontLedger};
+use crate::stats::PipelineStats;
+use crate::{Alert, FrontOutcome, Nids, NidsConfig};
 use snids_exec::mailbox::{self, MailboxStats};
 use snids_flow::shard::shard_of_packet;
-use snids_flow::{Flow, FlowKey, FlowTable, ShedFlow};
-use snids_obs::{EventKind, Obs, Stage};
+use snids_flow::{Flow, FlowKey, ShedFlow};
+use snids_obs::{Obs, Stage};
 use snids_packet::Packet;
-use snids_prefilter::{Decision, Lane, Prefilter, PrefilterConfig};
 use std::net::Ipv4Addr;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -61,10 +70,10 @@ enum ShardMsg {
     /// An alerting source: pin its flows in the protection tier.
     Protect(Ipv4Addr),
     /// Expire flows idle since before `now` minus the table's timeout and
-    /// reply with them ([`ShardReply::Polled`]).
+    /// reply with them ([`ShardReply::Flows`]).
     Poll(u64),
-    /// Drain everything and reply with it ([`ShardReply::Finished`]),
-    /// then exit.
+    /// Drain everything and reply with it ([`ShardReply::Flows`]), then
+    /// exit.
     Finish,
 }
 
@@ -75,235 +84,71 @@ enum ShardReply {
     /// Victims the governor shed under pressure, streams intact, for
     /// analyze-on-evict.
     Shed(Vec<ShedFlow>),
-    /// Response to [`ShardMsg::Poll`].
-    Polled {
-        shard: usize,
-        expired: Vec<Flow>,
-        ledger: ShardLedger,
-    },
-    /// Response to [`ShardMsg::Finish`]; the shard exits after sending.
-    Finished {
+    /// A flow evicted unanalyzed: the driver dumps its flight trail.
+    Evicted(FlowKey),
+    /// Response to a barrier ([`ShardMsg::Poll`] or [`ShardMsg::Finish`]):
+    /// the shard's completed flows and its cumulative ledger.
+    Flows {
         shard: usize,
         flows: Vec<Flow>,
-        ledger: ShardLedger,
+        ledger: FrontLedger,
     },
 }
 
-/// One shard's cumulative contribution to the pipeline ledger, shipped
-/// with every barrier reply. All fields are running totals, so the
-/// driver keeps only the latest snapshot per shard.
-#[derive(Debug, Clone, Default)]
-struct ShardLedger {
-    /// Suspicious packets this shard tracked.
-    packets: u64,
-    prefilter_passed: u64,
-    prefilter_escalated: u64,
-    prefilter_rejected: u64,
-    prefilter_nanos: u64,
-    /// Per-`(lane, rule)` pre-filter hits (cumulative, like the rest).
-    lane_hits: Vec<(String, String, u64)>,
-    reassembly_nanos: u64,
-    /// Flow-table counters (cumulative, mirroring `FlowTable`'s own).
-    evicted: u64,
-    evicted_by_budget: u64,
-    truncated_flows: u64,
-    overlap_conflict_bytes: u64,
-    degraded_flows: u64,
-    protected_len: u64,
-    flows_live: u64,
-}
-
-/// The state one shard thread owns: its pre-filter (lanes + sticky
-/// sources), its slice of the flow table, and its share of the ledger.
+/// The state one shard thread owns: its front half and the reply channel.
 struct FrontShard {
     index: usize,
-    prefilter: Option<Prefilter>,
-    flows: FlowTable,
-    obs: Obs,
-    analyze_on_evict: bool,
-    ledger: ShardLedger,
+    front: FrontHalf,
     replies: mpsc::Sender<ShardReply>,
 }
 
 impl FrontShard {
     fn run(mut self, rx: mailbox::Receiver<ShardMsg>) {
         while let Some(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Packet(p) => self.track(&p),
-                ShardMsg::Protect(src) => self.flows.protect_source(src),
-                ShardMsg::Poll(now) => {
-                    let expired = self.flows.expire(now);
-                    self.flush_shed();
-                    self.snapshot();
-                    let _ = self.replies.send(ShardReply::Polled {
-                        shard: self.index,
-                        expired,
-                        ledger: self.ledger.clone(),
-                    });
-                }
-                ShardMsg::Finish => {
-                    self.flush_shed();
-                    let flows = self.flows.drain();
-                    self.snapshot();
-                    let _ = self.replies.send(ShardReply::Finished {
-                        shard: self.index,
-                        flows,
-                        ledger: self.ledger.clone(),
-                    });
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Shard-side mirror of the sequential pipeline's per-flow back half
-    /// (`Nids::track_suspicious`): pre-filter gate, then reassembly.
-    fn track(&mut self, packet: &Packet) {
-        self.ledger.packets += 1;
-        let observing = self.obs.enabled();
-        if self.prefilter.is_some() {
-            let t_pf = Instant::now();
-            let key = FlowKey::of(packet);
-            let flow_buffered = key
-                .as_ref()
-                .and_then(|k| self.flows.get(k))
-                .map(|f| f.payload_bytes > 0)
-                .unwrap_or(false);
-            let decision = match self.prefilter.as_mut() {
-                Some(pf) => pf.decide(packet, flow_buffered),
-                None => Decision::Escalate(Lane::Control),
-            };
-            let prefilter_nanos = t_pf.elapsed().as_nanos() as u64;
-            self.ledger.prefilter_nanos += prefilter_nanos;
-            if observing {
-                self.obs.record_stage(
-                    Stage::Prefilter,
-                    prefilter_nanos,
-                    packet.payload().len() as u64,
-                );
-                if let Some(k) = key.as_ref() {
-                    self.obs.flow_charge(
-                        crate::flow_latency_id(k),
-                        Stage::Prefilter,
-                        prefilter_nanos,
-                    );
-                }
-            }
-            match decision {
-                Decision::Escalate(Lane::Sticky) => self.ledger.prefilter_escalated += 1,
-                Decision::Escalate(_) => self.ledger.prefilter_passed += 1,
-                Decision::Reject => {
-                    self.ledger.prefilter_rejected += 1;
-                    if observing {
-                        record_event(
-                            &self.obs,
-                            Stage::Prefilter,
-                            EventKind::Drop,
-                            key.as_ref(),
-                            packet.payload().len() as u64,
-                            Some(DropReason::PrefilterRejected),
-                        );
+            let (flows, last) = match msg {
+                ShardMsg::Packet(p) => {
+                    if let Some(key) = self.front.track(&p) {
+                        let _ = self.replies.send(ShardReply::Evicted(key));
                     }
-                    return;
+                    self.flush_shed();
+                    continue;
                 }
+                ShardMsg::Protect(src) => {
+                    self.front.flows.protect_source(src);
+                    continue;
+                }
+                ShardMsg::Poll(now) => (self.front.flows.expire(now), false),
+                ShardMsg::Finish => (self.front.flows.drain(), true),
+            };
+            self.flush_shed();
+            let _ = self.replies.send(ShardReply::Flows {
+                shard: self.index,
+                flows,
+                ledger: self.front.ledger(),
+            });
+            if last {
+                // Exit now: the shard's tables are freed while the driver
+                // still waits on the other shards.
+                return;
             }
         }
-        let t1 = Instant::now();
-        let outcome = self.flows.process_tracked(packet);
-        let reassembly_nanos = t1.elapsed().as_nanos() as u64;
-        self.ledger.reassembly_nanos += reassembly_nanos;
-        if observing {
-            self.obs.record_stage(
-                Stage::Reassembly,
-                reassembly_nanos,
-                outcome.segment_bytes as u64,
-            );
-            if let Some(k) = outcome.key.as_ref() {
-                self.obs.flow_charge(
-                    crate::flow_latency_id(k),
-                    Stage::Reassembly,
-                    reassembly_nanos,
-                );
-            }
-            record_event(
-                &self.obs,
-                Stage::Capture,
-                EventKind::Ingest,
-                outcome.key.as_ref(),
-                outcome.segment_bytes as u64,
-                None,
-            );
-            if let Some(evicted) = outcome.evicted.filter(|_| !self.analyze_on_evict) {
-                record_event(
-                    &self.obs,
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    Some(&evicted),
-                    0,
-                    Some(DropReason::FlowEvicted),
-                );
-                self.obs.flow_settle(
-                    &crate::flow_latency_id(&evicted),
-                    snids_obs::FlowOutcome::Dropped,
-                );
-            }
-            if outcome.conflict_bytes > 0 {
-                record_event(
-                    &self.obs,
-                    Stage::Reassembly,
-                    EventKind::Conflict,
-                    outcome.key.as_ref(),
-                    outcome.conflict_bytes,
-                    None,
-                );
-            }
-            if outcome.truncated {
-                record_event(
-                    &self.obs,
-                    Stage::Reassembly,
-                    EventKind::Drop,
-                    outcome.key.as_ref(),
-                    outcome.segment_bytes as u64,
-                    Some(DropReason::StreamTruncated),
-                );
-            }
-        }
-        self.flush_shed();
     }
 
     /// Ship shed victims to the driver for analyze-on-evict (the driver
     /// owns the analysis back half; shipping is a move, not a copy).
     fn flush_shed(&mut self) {
-        let shed = self.flows.take_shed();
+        let shed = self.front.flows.take_shed();
         if !shed.is_empty() {
             let _ = self.replies.send(ShardReply::Shed(shed));
         }
     }
-
-    /// Refresh the cumulative ledger from the flow table's counters.
-    fn snapshot(&mut self) {
-        if let Some(pf) = &self.prefilter {
-            self.ledger.lane_hits = pf
-                .rule_hits()
-                .map(|(lane, rule, n)| (lane.to_string(), rule.to_string(), n))
-                .collect();
-        }
-        self.ledger.evicted = self.flows.evicted();
-        self.ledger.evicted_by_budget = self.flows.evicted_by_budget();
-        self.ledger.truncated_flows = self.flows.truncated_flows();
-        self.ledger.overlap_conflict_bytes = self.flows.overlap_conflict_bytes();
-        self.ledger.degraded_flows = self.flows.degraded_flows();
-        self.ledger.protected_len = self.flows.protected_len() as u64;
-        self.ledger.flows_live = self.flows.len() as u64;
-    }
 }
 
 /// The driver's handle to one shard: its mailbox, its thread, and the
-/// latest ledger / mailbox-congestion snapshots.
+/// latest mailbox-congestion snapshot.
 struct ShardHandle {
     tx: Option<mailbox::Sender<ShardMsg>>,
     thread: Option<JoinHandle<()>>,
-    ledger: ShardLedger,
     mailbox: MailboxStats,
 }
 
@@ -314,10 +159,6 @@ pub struct ShardedNids {
     inner: Nids,
     shards: Vec<ShardHandle>,
     replies: Option<mpsc::Receiver<ShardReply>>,
-    /// Ledger merged across the driver and every shard; refreshed at
-    /// barriers (`poll`/`finish`) and by `absorb_read_stats`, so it is
-    /// authoritative whenever the sequential pipeline's would be.
-    merged: PipelineStats,
     finished: bool,
 }
 
@@ -331,38 +172,27 @@ impl ShardedNids {
                 inner: Nids::new(config),
                 shards: Vec::new(),
                 replies: None,
-                merged: PipelineStats::default(),
                 finished: false,
             };
         }
         // Per-shard state is derived from the same config the sequential
-        // pipeline would use; only the flow-slot cap is sliced so the
-        // total stays `max_flows`.
-        let honeypots = config.honeypots.clone();
-        let dark_nets = config.dark_nets.clone();
-        let run_prefilter = config.prefilter;
-        let analyze_on_evict = config.analyze_on_evict;
-        let mut flow_config = config.flow_table.clone();
-        flow_config.max_flows = config.flow_table.max_flows.div_ceil(n).max(1);
-        flow_config.hand_off_shed = analyze_on_evict;
+        // pipeline uses; only the flow-slot cap is sliced so the total
+        // stays `max_flows`.
+        let max_flows = config.flow_table.max_flows.div_ceil(n).max(1);
         let mailbox_cap = config.shard_mailbox.max(1);
-        let inner = Nids::new(config);
+        let mut inner = Nids::new(config.clone());
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut shards = Vec::with_capacity(n);
         for index in 0..n {
             let (tx, rx) = mailbox::bounded::<ShardMsg>(mailbox_cap);
             let shard = FrontShard {
                 index,
-                prefilter: run_prefilter.then(|| {
-                    Prefilter::new(PrefilterConfig::deployment_rules(&honeypots, &dark_nets))
-                }),
-                flows: FlowTable::with_budget(
-                    flow_config.clone(),
+                front: FrontHalf::new(
+                    &config,
+                    max_flows,
                     std::sync::Arc::clone(&inner.budget),
+                    inner.obs.clone(),
                 ),
-                obs: inner.obs.clone(),
-                analyze_on_evict,
-                ledger: ShardLedger::default(),
                 replies: reply_tx.clone(),
             };
             let thread = std::thread::Builder::new()
@@ -372,7 +202,6 @@ impl ShardedNids {
             shards.push(ShardHandle {
                 tx: Some(tx),
                 thread,
-                ledger: ShardLedger::default(),
                 mailbox: MailboxStats {
                     sent: 0,
                     blocked_sends: 0,
@@ -382,12 +211,11 @@ impl ShardedNids {
                 },
             });
         }
-        drop(reply_tx);
+        inner.shard_ledgers = vec![FrontLedger::default(); n];
         ShardedNids {
             inner,
             shards,
             replies: Some(reply_rx),
-            merged: PipelineStats::default(),
             finished: false,
         }
     }
@@ -422,24 +250,18 @@ impl ShardedNids {
         self.inner.analysis_threads()
     }
 
-    /// Pipeline statistics. In sharded mode the merged ledger is
-    /// refreshed at every `poll`/`finish` barrier (and by
-    /// [`ShardedNids::absorb_read_stats`]), exactly the points after
-    /// which the sequential pipeline's ledger is meaningful.
+    /// Pipeline statistics. In sharded mode the ledger is settled from
+    /// every shard's latest ledger at every `poll`/`finish` barrier, by
+    /// [`ShardedNids::absorb_read_stats`] and by the snapshot calls —
+    /// exactly the points at which the sequential pipeline settles its
+    /// own (see [`Nids::stats`]).
     pub fn stats(&self) -> &PipelineStats {
-        if self.shards.is_empty() {
-            self.inner.stats()
-        } else {
-            &self.merged
-        }
+        self.inner.stats()
     }
 
     /// Fold a pcap reader's accounting into the record ledger.
     pub fn absorb_read_stats(&mut self, rs: &snids_packet::ReadStats) {
         self.inner.absorb_read_stats(rs);
-        if !self.shards.is_empty() {
-            self.refresh_merged();
-        }
     }
 
     /// Feed one packet through the pipeline. In sharded mode the driver
@@ -448,26 +270,17 @@ impl ShardedNids {
     /// shard is saturated — the backpressure the `dispatch` stage
     /// timing measures).
     pub fn process_packet(&mut self, packet: &Packet) {
-        if self.shards.is_empty() {
+        if self.shards.is_empty() || self.finished {
+            // After finish (a misuse corner) the shards are gone: fall
+            // back to the driver's own front half so nothing is silently
+            // lost.
             self.inner.process_packet(packet);
             return;
         }
-        if self.finished {
-            // Misuse corner (packets after finish): fall back to the
-            // sequential path so nothing is silently lost.
-            self.inner.process_packet(packet);
-            return;
+        if let FrontOutcome::Suspicious(whole) = self.inner.ingest_front(packet) {
+            self.dispatch(whole.unwrap_or_else(|| packet.clone()));
         }
-        match self.inner.ingest_front(packet) {
-            FrontOutcome::Consumed => {}
-            FrontOutcome::Suspicious(whole) => {
-                let owned = match whole {
-                    Some(p) => p,
-                    None => packet.clone(),
-                };
-                self.dispatch(owned);
-            }
-        }
+        self.inner.note_pressure();
         self.pump_replies();
     }
 
@@ -497,21 +310,13 @@ impl ShardedNids {
                 .obs
                 .record_stage(Stage::Dispatch, t0.elapsed().as_nanos() as u64, bytes);
         }
-        self.inner.note_pressure();
     }
 
     /// Handle any replies that have already arrived, without blocking —
     /// shed victims must reach analyze-on-evict promptly, not at the
     /// next barrier.
     fn pump_replies(&mut self) {
-        loop {
-            let reply = match &self.replies {
-                Some(rx) => match rx.try_recv() {
-                    Ok(r) => r,
-                    Err(_) => return,
-                },
-                None => return,
-            };
+        while let Some(reply) = self.replies.as_ref().and_then(|rx| rx.try_recv().ok()) {
             self.on_reply(reply);
         }
     }
@@ -524,48 +329,47 @@ impl ShardedNids {
                 // shard's protection tier.
                 let before = self.inner.pending_alerts.len();
                 self.inner.handle_shed(shed);
-                let mut srcs: Vec<Ipv4Addr> = self.inner.pending_alerts[before..]
+                let srcs: Vec<Ipv4Addr> = self.inner.pending_alerts[before..]
                     .iter()
                     .map(|a| a.src)
                     .collect();
-                srcs.sort_unstable();
-                srcs.dedup();
-                for src in srcs {
-                    self.broadcast_protect(src);
-                }
+                self.broadcast_protect(srcs);
                 None
             }
-            ShardReply::Polled {
-                shard,
-                expired,
-                ledger,
-            } => {
-                self.shards[shard].ledger = ledger;
-                Some((shard, expired))
+            ShardReply::Evicted(key) => {
+                self.inner
+                    .dump_flight("flow_evicted", key.src, key.dst, key.dst_port);
+                None
             }
-            ShardReply::Finished {
+            ShardReply::Flows {
                 shard,
                 flows,
                 ledger,
             } => {
-                self.shards[shard].ledger = ledger;
+                self.inner.shard_ledgers[shard] = ledger;
                 Some((shard, flows))
             }
         }
     }
 
-    /// Pin a source in every shard's protection tier (alerts must shield
-    /// their source's flows from shedding on whichever shards they live).
-    fn broadcast_protect(&mut self, src: Ipv4Addr) {
-        for handle in &self.shards {
-            if let Some(tx) = handle.tx.as_ref() {
-                let _ = tx.send(ShardMsg::Protect(src));
+    /// Pin alerting sources in every shard's protection tier (alerts must
+    /// shield their source's flows from shedding on whichever shards they
+    /// live).
+    fn broadcast_protect(&mut self, mut srcs: Vec<Ipv4Addr>) {
+        srcs.sort_unstable();
+        srcs.dedup();
+        for src in srcs {
+            for handle in &self.shards {
+                if let Some(tx) = handle.tx.as_ref() {
+                    let _ = tx.send(ShardMsg::Protect(src));
+                }
             }
         }
     }
 
     /// Broadcast a barrier message and collect per-shard flow batches in
-    /// shard-index order, handling shed replies as they interleave.
+    /// shard-index order, handling shed and eviction replies as they
+    /// interleave.
     fn barrier(&mut self, msg: impl Fn() -> ShardMsg) -> Vec<Flow> {
         for handle in &mut self.shards {
             if let Some(tx) = handle.tx.as_ref() {
@@ -576,12 +380,9 @@ impl ShardedNids {
         let mut batches: Vec<Option<Vec<Flow>>> = (0..self.shards.len()).map(|_| None).collect();
         let mut got = 0;
         while got < self.shards.len() {
-            let reply = match &self.replies {
-                Some(rx) => match rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => break, // every shard exited
-                },
-                None => break,
+            // A receive error means every shard exited.
+            let Some(reply) = self.replies.as_ref().and_then(|rx| rx.recv().ok()) else {
+                break;
             };
             if let Some((shard, flows)) = self.on_reply(reply) {
                 batches[shard] = Some(flows);
@@ -603,22 +404,8 @@ impl ShardedNids {
             return self.inner.poll(now);
         }
         let expired = self.barrier(|| ShardMsg::Poll(now));
-        let alerts = if expired.is_empty() && self.inner.pending_alerts.is_empty() {
-            Vec::new()
-        } else {
-            let mut alerts = std::mem::take(&mut self.inner.pending_alerts);
-            alerts.extend(self.inner.analyze_flows(expired));
-            let alerts = self.inner.finalize_alerts(alerts);
-            let mut srcs: Vec<Ipv4Addr> = alerts.iter().map(|a| a.src).collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            for src in srcs {
-                self.broadcast_protect(src);
-            }
-            alerts
-        };
-        self.inner.sync_drop_counters();
-        self.refresh_merged();
+        let alerts = self.inner.conclude(expired);
+        self.broadcast_protect(alerts.iter().map(|a| a.src).collect());
         alerts
     }
 
@@ -630,28 +417,12 @@ impl ShardedNids {
             return self.inner.finish();
         }
         self.finished = true;
-        // Fragments still buffered will never complete; account them
-        // before the ledger is merged.
+        // Fragments still buffered will never complete: release their
+        // budget bytes before the shards work off their queues.
         self.inner.defrag.drain_incomplete();
         let flows = self.barrier(|| ShardMsg::Finish);
-        for handle in &mut self.shards {
-            handle.tx = None;
-            if let Some(thread) = handle.thread.take() {
-                let _ = thread.join();
-            }
-        }
-        let mut alerts = std::mem::take(&mut self.inner.pending_alerts);
-        alerts.extend(self.inner.analyze_flows(flows));
-        let alerts = self.inner.finalize_alerts(alerts);
-        self.inner.sync_drop_counters();
-        self.inner.note_pressure();
-        self.refresh_merged();
-        debug_assert_eq!(
-            self.inner.budget.tracked(),
-            0,
-            "memory budget must return to zero after sharded finish"
-        );
-        alerts
+        self.join_shards();
+        self.inner.finish_flows(flows)
     }
 
     /// Convenience: run a whole capture through the pipeline.
@@ -662,150 +433,43 @@ impl ShardedNids {
         self.finish()
     }
 
-    /// Recompute the merged ledger: the driver's stats (capture,
-    /// checksum, defrag, classify, analysis tail, shed-analyzed) plus
-    /// every shard's latest contribution (prefilter, reassembly, flow
-    /// table), with shed attribution computed over the union of the
-    /// shard tables exactly as `Nids::sync_drop_counters` does over its
-    /// single table.
-    fn refresh_merged(&mut self) {
-        self.inner.sync_drop_counters();
-        let mut m = self.inner.stats.clone();
-        let mut evicted = 0u64;
-        let mut by_budget = 0u64;
-        let mut truncated = 0u64;
-        for handle in &self.shards {
-            let l = &handle.ledger;
-            m.prefilter_passed += l.prefilter_passed;
-            m.prefilter_escalated += l.prefilter_escalated;
-            m.prefilter_rejected += l.prefilter_rejected;
-            m.prefilter_nanos += l.prefilter_nanos;
-            crate::stats::merge_lane_hits(&mut m.lane_hits, &l.lane_hits);
-            m.reassembly_nanos += l.reassembly_nanos;
-            m.overlap_conflict_bytes += l.overlap_conflict_bytes;
-            m.degraded_flows += l.degraded_flows;
-            evicted += l.evicted;
-            by_budget += l.evicted_by_budget;
-            truncated += l.truncated_flows;
-        }
-        m.drops
-            .set(DropReason::PrefilterRejected, m.prefilter_rejected);
-        m.drops.set(DropReason::StreamTruncated, truncated);
-        let analyzed = self.inner.shed_analyzed;
-        let analyzed_budget = self.inner.shed_analyzed_budget;
-        let analyzed_count_cap = analyzed.saturating_sub(analyzed_budget);
-        m.drops.set(DropReason::ShedAnalyzed, analyzed);
-        m.drops.set(
-            DropReason::ShedUnanalyzed,
-            by_budget.saturating_sub(analyzed_budget),
-        );
-        m.drops.set(
-            DropReason::FlowEvicted,
-            evicted
-                .saturating_sub(by_budget)
-                .saturating_sub(analyzed_count_cap),
-        );
-        m.memory_limit_bytes = self.inner.budget.limit();
-        m.peak_tracked_bytes = self.inner.budget.peak();
-        self.merged = m;
-    }
-
-    /// Mirror the merged ledger and the per-shard gauges into the obs
-    /// registry (sharded counterpart of `Nids::publish_gauges`).
-    fn publish_sharded_gauges(&self) {
+    /// Mirror the per-shard and mailbox gauges into the obs registry (the
+    /// pipeline-wide gauges come from [`Nids`]'s own publishing).
+    fn publish_shard_gauges(&self) {
         let obs = &self.inner.obs;
-        if !obs.enabled() {
+        if !obs.enabled() || self.shards.is_empty() {
             return;
         }
-        // Publish the sequential gauge set first (pool self-profile,
-        // per-worker gauges — identical either way), then overwrite every
-        // value the sharding changes with the merged ledger's figures.
-        self.inner.publish_gauges();
-        let m = &self.merged;
-        for reason in DropReason::ALL {
-            obs.set_named(&format!("drop.{}", reason.name()), m.drops.get(reason));
-        }
-        obs.set_named("snids_packets_total", m.packets);
-        obs.set_named("snids_processed_total", m.processed);
-        obs.set_named("snids_flows_analyzed_total", m.flows_analyzed);
-        obs.set_named("snids_alerts_total", m.alerts);
-        obs.set_named("snids_prefilter_passed_total", m.prefilter_passed);
-        obs.set_named("snids_prefilter_escalated_total", m.prefilter_escalated);
-        obs.set_named("snids_prefilter_rejected_total", m.prefilter_rejected);
-        for (lane, rule, n) in &m.lane_hits {
-            obs.set_named(
-                &format!("snids_prefilter_lane_hits_total{{lane=\"{lane}\",rule=\"{rule}\"}}"),
-                *n,
-            );
-        }
-        let budget = self.inner.budget();
-        obs.set_named("snids_budget_limit_bytes", budget.limit());
-        obs.set_named("snids_budget_tracked_bytes", budget.tracked());
-        obs.set_named("snids_budget_peak_bytes", budget.peak());
-        obs.set_named("snids_budget_pressure_level", budget.level().code());
-        let mut protected = 0u64;
-        let mut degraded = 0u64;
-        let mut shed = 0u64;
-        for handle in &self.shards {
-            protected += handle.ledger.protected_len;
-            degraded += handle.ledger.degraded_flows;
-            shed += handle.ledger.evicted;
-        }
-        obs.set_named("snids_flows_protected", protected);
-        obs.set_named("snids_flows_degraded_total", degraded);
-        obs.set_named("snids_flows_shed_total", shed);
         obs.set_named("snids_shards", self.shards.len() as u64);
-        for (i, handle) in self.shards.iter().enumerate() {
-            let l = &handle.ledger;
+        for (i, (handle, l)) in self
+            .shards
+            .iter()
+            .zip(&self.inner.shard_ledgers)
+            .enumerate()
+        {
             let mb = &handle.mailbox;
-            obs.set_named(
-                &format!("snids_shard_packets_total{{shard=\"{i}\"}}"),
-                l.packets,
-            );
-            obs.set_named(
-                &format!("snids_shard_prefilter_rejected_total{{shard=\"{i}\"}}"),
-                l.prefilter_rejected,
-            );
-            obs.set_named(
-                &format!("snids_shard_flows_live{{shard=\"{i}\"}}"),
-                l.flows_live,
-            );
-            obs.set_named(
-                &format!("snids_shard_flows_shed_total{{shard=\"{i}\"}}"),
-                l.evicted,
-            );
-            obs.set_named(
-                &format!("snids_shard_reassembly_nanos_total{{shard=\"{i}\"}}"),
-                l.reassembly_nanos,
-            );
-            obs.set_named(
-                &format!("snids_shard_mailbox_depth{{shard=\"{i}\"}}"),
-                mb.depth as u64,
-            );
-            obs.set_named(
-                &format!("snids_shard_mailbox_capacity{{shard=\"{i}\"}}"),
-                mb.capacity as u64,
-            );
-            obs.set_named(
-                &format!("snids_shard_mailbox_blocked_sends_total{{shard=\"{i}\"}}"),
-                mb.blocked_sends,
-            );
-            obs.set_named(
-                &format!("snids_shard_mailbox_peak_depth{{shard=\"{i}\"}}"),
-                mb.peak_depth,
-            );
+            for (name, value) in [
+                ("snids_shard_packets_total", l.packets),
+                ("snids_shard_prefilter_rejected_total", l.prefilter_rejected),
+                ("snids_shard_flows_live", l.flows_live),
+                ("snids_shard_flows_shed_total", l.evicted),
+                ("snids_shard_reassembly_nanos_total", l.reassembly_nanos),
+                ("snids_shard_mailbox_depth", mb.depth as u64),
+                ("snids_shard_mailbox_capacity", mb.capacity as u64),
+                ("snids_shard_mailbox_blocked_sends_total", mb.blocked_sends),
+                ("snids_shard_mailbox_peak_depth", mb.peak_depth),
+            ] {
+                obs.set_named(&format!("{name}{{shard=\"{i}\"}}"), value);
+            }
         }
     }
 
-    /// A deterministic point-in-time metrics snapshot (merged ledger and
-    /// per-shard gauges freshly mirrored in).
+    /// A deterministic point-in-time metrics snapshot (the ledger settled
+    /// and the per-shard gauges freshly mirrored in).
     pub fn obs_snapshot(&mut self) -> snids_obs::Snapshot {
-        if self.shards.is_empty() {
-            return self.inner.obs_snapshot();
-        }
-        self.refresh_merged();
-        self.publish_sharded_gauges();
-        self.inner.obs.snapshot()
+        self.inner.sync_drop_counters();
+        self.publish_shard_gauges();
+        self.inner.obs_snapshot()
     }
 
     /// The Prometheus-style text exposition page for this pipeline.
@@ -829,13 +493,10 @@ impl ShardedNids {
         }
         (blocked, peak)
     }
-}
 
-impl Drop for ShardedNids {
-    fn drop(&mut self) {
-        // Dropping the senders closes every mailbox; shard threads
-        // observe the disconnect and exit. Join so no thread outlives
-        // the pipeline.
+    /// Close every mailbox and join the shard threads (they observe the
+    /// disconnect and exit), so no thread outlives the pipeline.
+    fn join_shards(&mut self) {
         for handle in &mut self.shards {
             handle.tx = None;
         }
@@ -844,6 +505,12 @@ impl Drop for ShardedNids {
                 let _ = thread.join();
             }
         }
+    }
+}
+
+impl Drop for ShardedNids {
+    fn drop(&mut self) {
+        self.join_shards();
     }
 }
 

@@ -7,8 +7,9 @@ use crate::sled::find_sled;
 use crate::unicode::{count_unicode_groups, decode_region};
 use serde::{Deserialize, Serialize};
 
-/// Where a frame was carved from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Where a frame was carved from. Ordered as [`BinaryExtractor::extract`]
+/// emits frames of one payload: URI first, then body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FrameOrigin {
     /// Decoded from an HTTP request URI (`%uXXXX` or raw overflow tail).
     HttpUri,

@@ -240,3 +240,73 @@ fn sharding_survives_memory_pressure_identically() {
         );
     }
 }
+
+/// The sorted flight-dump identities (`flight[why] src -> dst:port`, the
+/// header line without its event count) of one observed replay.
+fn dump_identities(config: &NidsConfig, shards: usize, packets: &[Packet]) -> Vec<String> {
+    let mut config = config.clone();
+    config.shards = shards;
+    let mut nids = ShardedNids::new(config);
+    nids.process_capture(packets);
+    let mut ids: Vec<String> = nids
+        .flight_dumps()
+        .iter()
+        .filter_map(|dump| dump.lines().next())
+        .map(|header| header.split(" (").next().unwrap_or(header).to_string())
+        .collect();
+    ids.sort();
+    ids
+}
+
+#[test]
+fn flight_dumps_are_shard_invariant() {
+    // One attacker reconnecting to one honeypot on successive ports: a
+    // single address pair lands on a single shard at every shard count,
+    // and a one-slot flow table (one slot per shard, too) makes every new
+    // connection evict the previous one unanalyzed — the same evictions
+    // at shards 1, 2 and 8. The last connection survives to finish and
+    // alerts.
+    let plan = AddressPlan::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    let attacker = std::net::Ipv4Addr::new(198, 18, 7, 7);
+    let exploit = snids::gen::SCENARIOS[0].build_payload(&mut rng);
+    let ports = [21u16, 25, 80, 110, 443, 8080];
+    let mut packets = Vec::new();
+    for (i, port) in ports.into_iter().enumerate() {
+        packets.extend(snids::gen::traces::tcp_flow_packets(
+            attacker,
+            plan.honeypots[0],
+            4000 + i as u16,
+            port,
+            &exploit,
+            100 + i as u64 * 1_000,
+            0x40 + i as u32,
+        ));
+    }
+    let mut config = worm_config(&plan);
+    config.observability = true;
+    config.analyze_on_evict = false;
+    config.flow_table.max_flows = 1;
+
+    let reference = dump_identities(&config, 1, &packets);
+    let evicted = reference
+        .iter()
+        .filter(|id| id.starts_with("flight[flow_evicted]"))
+        .count();
+    assert_eq!(
+        evicted,
+        ports.len() - 1,
+        "every superseded connection must be evicted and dumped: {reference:?}"
+    );
+    assert!(
+        reference.len() < snids::core::MAX_FLIGHT_DUMPS,
+        "the corpus must stay under the dump cap"
+    );
+    for shards in SHARD_COUNTS {
+        assert_eq!(
+            dump_identities(&config, shards, &packets),
+            reference,
+            "flight dumps diverged at shards={shards}"
+        );
+    }
+}
